@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES=(fmt clippy build test compile sat serve lint analyze doc trace-smoke bench-smoke bench-gate)
+STAGES=(fmt clippy build test compile sat serve perfbench lint analyze doc trace-smoke bench-smoke bench-gate)
 QUICK_STAGES=(fmt clippy build test)
 
 stage_fmt() { cargo fmt --all -- --check; }
@@ -82,6 +82,12 @@ stage_serve() {
   fi
   rm -f target/transcript_*
 }
+
+# The end-to-end benchmark is a workspace of its own (`perfbench/`), so no
+# other stage builds it. Its smoke test compiles it against the public
+# per-layer API it imports and runs every workload briefly, so removing
+# an item it depends on fails here rather than at benchmark time.
+stage_perfbench() { cargo test --release --offline --manifest-path perfbench/Cargo.toml; }
 
 stage_lint() { cargo run --release --bin lph-lint -- --deny warnings; }
 

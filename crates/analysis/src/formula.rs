@@ -70,13 +70,6 @@ impl SentenceArtifact {
         self
     }
 
-    /// Overrides the declared signature.
-    #[must_use]
-    pub fn with_signature(mut self, unary: usize, binary: usize) -> Self {
-        self.signature = (unary, binary);
-        self
-    }
-
     pub(crate) fn artifact(&self) -> String {
         format!("sentence:{}", self.name)
     }

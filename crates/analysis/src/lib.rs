@@ -77,7 +77,5 @@ pub use proofcheck::{
     PROOF_SCHEMA,
 };
 pub use registry::{rule, RuleConfig, RuleInfo, RULES};
-pub use servefmt::{
-    validate_serve_request, validate_serve_response, SERVE_ERROR_CODES, SERVE_SCHEMA,
-};
+pub use servefmt::{validate_serve_request, validate_serve_response, SERVE_ERROR_CODES};
 pub use tracefmt::{trace_to_json, validate_trace, TraceStats};

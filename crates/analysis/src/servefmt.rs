@@ -28,9 +28,6 @@
 
 use crate::json::Json;
 
-/// The wire-protocol schema name/version.
-pub const SERVE_SCHEMA: &str = "lph-serve/1";
-
 /// The request kinds of the protocol.
 pub const SERVE_KINDS: [&str; 4] = ["membership", "lint", "reduction", "list"];
 

@@ -142,11 +142,6 @@ impl BitString {
         self.bits.iter().copied()
     }
 
-    /// A view of the raw bits.
-    pub fn as_bools(&self) -> &[bool] {
-        &self.bits
-    }
-
     /// Appends a single bit.
     pub fn push(&mut self, bit: bool) {
         self.bits.push(bit);

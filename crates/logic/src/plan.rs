@@ -537,16 +537,6 @@ impl CompiledSentence {
         self.lfo_slot
     }
 
-    /// The number of dense first-order slots the plan binds.
-    pub fn fo_slot_count(&self) -> usize {
-        self.fo_slots
-    }
-
-    /// The number of second-order slots (prefix positions).
-    pub fn so_slot_count(&self) -> usize {
-        self.so_slots
-    }
-
     /// Overwrites one arena node with an arbitrary payload. This is a
     /// *mutation hook* for verifier fixtures and demos: it deliberately
     /// performs no validity checks, so the result can (and usually

@@ -49,7 +49,6 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::thread;
 
@@ -59,15 +58,14 @@ thread_local! {
     static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Overrides the worker count used by the ambient-thread-count primitives
-/// (`par_map`, `par_find_first`, …) **for the calling thread**; `0` clears
-/// the override. Being thread-local, concurrent tests (or nested pools)
-/// cannot race each other's settings.
+/// Overrides the worker count every `par_*` primitive uses **for the
+/// calling thread**; `0` clears the override. Being thread-local,
+/// concurrent tests (or nested pools) cannot race each other's settings.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.with(|o| o.set(n));
 }
 
-/// The worker count the ambient primitives will use: the calling thread's
+/// The worker count the `par_*` primitives will use: the calling thread's
 /// [`set_threads`] override if set, else `LPH_THREADS` if set and positive,
 /// else the machine's available parallelism.
 pub fn threads() -> usize {
@@ -156,7 +154,7 @@ impl ChunkQueue {
         self.ready.notify_all();
     }
 
-    /// Closes *and* discards pending chunks (panic or early-exit paths).
+    /// Closes *and* discards pending chunks (the panic path).
     fn cancel(&self) {
         let mut s = self.state.lock().expect("queue lock");
         s.open = false;
@@ -168,15 +166,11 @@ impl ChunkQueue {
 
 /// The fork/join engine: runs `worker` over ascending index chunks on
 /// `workers` threads and returns the `(chunk_start, output)` pairs sorted
-/// by chunk start. Chunks whose start satisfies `prune` are skipped — and
-/// since chunks are produced in ascending order and `prune` is required to
-/// be upward closed (`prune(s)` implies `prune(s')` for `s' > s`),
-/// production simply stops at the first pruned chunk.
-fn run_chunks<R, W, P>(workers: usize, len: usize, worker: W, prune: P) -> Vec<(usize, R)>
+/// by chunk start.
+fn run_chunks<R, W>(workers: usize, len: usize, worker: W) -> Vec<(usize, R)>
 where
     R: Send,
     W: Fn(Range<usize>) -> R + Sync,
-    P: Fn(usize) -> bool + Sync,
 {
     let _span = lph_trace::span("pool/region");
     lph_trace::add("pool/regions", 1);
@@ -192,9 +186,6 @@ where
                 s.spawn(|| {
                     let mut local: Vec<(usize, R)> = Vec::new();
                     while let Some(range) = queue.pop() {
-                        if prune(range.start) {
-                            continue;
-                        }
                         let start = range.start;
                         let t0 = lph_trace::enabled().then(std::time::Instant::now);
                         match catch_unwind(AssertUnwindSafe(|| worker(range))) {
@@ -227,7 +218,7 @@ where
         let mut start = 0;
         while start < len {
             let end = (start + step).min(len);
-            if prune(start) || !queue.push(start..end) {
+            if !queue.push(start..end) {
                 break;
             }
             start = end;
@@ -249,22 +240,12 @@ where
     merged
 }
 
-/// [`par_map_index`] with an explicit worker count.
-pub fn par_map_index_with<U, F>(workers: usize, len: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    if workers <= 1 || len <= 1 {
-        return (0..len).map(f).collect();
-    }
-    let chunks = run_chunks(
-        workers.min(len),
-        len,
-        |range| range.map(&f).collect::<Vec<U>>(),
-        |_| false,
-    );
-    collect_ordered(chunks, len)
+/// The worker count for a region over `len` items, or `None` when the
+/// call should run its plain sequential loop in place (one resolved
+/// thread, or nothing to split).
+fn region_workers(len: usize) -> Option<usize> {
+    let workers = threads();
+    (workers > 1 && len > 1).then(|| workers.min(len))
 }
 
 /// Maps `f` over `0..len`, returning the results in index order — exactly
@@ -274,17 +255,11 @@ where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    par_map_index_with(threads(), len, f)
-}
-
-/// [`par_map`] with an explicit worker count.
-pub fn par_map_with<T, U, F>(workers: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_index_with(workers, items.len(), |i| f(&items[i]))
+    let Some(workers) = region_workers(len) else {
+        return (0..len).map(f).collect();
+    };
+    let chunks = run_chunks(workers, len, |range| range.map(&f).collect::<Vec<U>>());
+    collect_ordered(chunks, len)
 }
 
 /// Maps `f` over a slice, returning the results in input order — exactly
@@ -295,7 +270,7 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_with(threads(), items, f)
+    par_map_index(items.len(), |i| f(&items[i]))
 }
 
 /// [`par_map`] that stays sequential below a batch-size threshold.
@@ -319,24 +294,6 @@ where
     }
 }
 
-/// [`par_filter_map_index`] with an explicit worker count.
-pub fn par_filter_map_index_with<U, F>(workers: usize, len: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> Option<U> + Sync,
-{
-    if workers <= 1 || len <= 1 {
-        return (0..len).filter_map(f).collect();
-    }
-    let chunks = run_chunks(
-        workers.min(len),
-        len,
-        |range| range.filter_map(&f).collect::<Vec<U>>(),
-        |_| false,
-    );
-    chunks.into_iter().flat_map(|(_, v)| v).collect()
-}
-
 /// Filter-maps `f` over `0..len`, keeping survivors in index order —
 /// exactly `(0..len).filter_map(f).collect()`. Memory stays proportional
 /// to the *kept* results, which is what makes it the right shape for
@@ -346,25 +303,12 @@ where
     U: Send,
     F: Fn(usize) -> Option<U> + Sync,
 {
-    par_filter_map_index_with(threads(), len, f)
-}
-
-/// [`par_flat_map`] with an explicit worker count.
-pub fn par_flat_map_with<T, U, F>(workers: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> Vec<U> + Sync,
-{
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().flat_map(f).collect();
-    }
-    let chunks = run_chunks(
-        workers.min(items.len()),
-        items.len(),
-        |range| range.flat_map(|i| f(&items[i])).collect::<Vec<U>>(),
-        |_| false,
-    );
+    let Some(workers) = region_workers(len) else {
+        return (0..len).filter_map(f).collect();
+    };
+    let chunks = run_chunks(workers, len, |range| {
+        range.filter_map(&f).collect::<Vec<U>>()
+    });
     chunks.into_iter().flat_map(|(_, v)| v).collect()
 }
 
@@ -376,122 +320,13 @@ where
     U: Send,
     F: Fn(&T) -> Vec<U> + Sync,
 {
-    par_flat_map_with(threads(), items, f)
-}
-
-/// [`par_find_first_index`] with an explicit worker count.
-pub fn par_find_first_index_with<U, F>(workers: usize, len: usize, f: F) -> Option<U>
-where
-    U: Send,
-    F: Fn(usize) -> Option<U> + Sync,
-{
-    if workers <= 1 || len <= 1 {
-        return (0..len).find_map(f);
-    }
-    // The least index with a hit so far; `usize::MAX` while none. Indices at
-    // or beyond it can never win, so workers break and the producer stops.
-    let best_idx = AtomicUsize::new(usize::MAX);
-    let best: Mutex<Option<(usize, U)>> = Mutex::new(None);
-    run_chunks(
-        workers.min(len),
-        len,
-        |range| {
-            for i in range {
-                if i >= best_idx.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Some(v) = f(i) {
-                    let mut b = best.lock().expect("best slot");
-                    if b.as_ref().is_none_or(|&(bi, _)| i < bi) {
-                        best_idx.fetch_min(i, Ordering::Relaxed);
-                        *b = Some((i, v));
-                    }
-                    break;
-                }
-            }
-        },
-        |start| start > best_idx.load(Ordering::Relaxed),
-    );
-    best.into_inner().expect("best slot").map(|(_, v)| v)
-}
-
-/// Returns `f(i)` for the **least** `i` in `0..len` where it is `Some` —
-/// the same value `(0..len).find_map(f)` returns. Unlike the sequential
-/// form, `f` may also be evaluated at indices past the winning one; it must
-/// therefore be effect-free (all the sweeps here are pure).
-pub fn par_find_first_index<U, F>(len: usize, f: F) -> Option<U>
-where
-    U: Send,
-    F: Fn(usize) -> Option<U> + Sync,
-{
-    par_find_first_index_with(threads(), len, f)
-}
-
-/// [`par_find_first`] with an explicit worker count.
-pub fn par_find_first_with<T, U, F>(workers: usize, items: &[T], f: F) -> Option<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> Option<U> + Sync,
-{
-    par_find_first_index_with(workers, items.len(), |i| f(&items[i]))
-}
-
-/// Returns `f(x)` for the first slice element where it is `Some` — the
-/// same value `items.iter().find_map(f)` returns (see
-/// [`par_find_first_index`] for the purity requirement on `f`).
-pub fn par_find_first<T, U, F>(items: &[T], f: F) -> Option<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> Option<U> + Sync,
-{
-    par_find_first_with(threads(), items, f)
-}
-
-/// [`par_reduce`] with an explicit worker count.
-pub fn par_reduce_with<T, A, ID, F, C>(
-    workers: usize,
-    items: &[T],
-    identity: ID,
-    fold: F,
-    combine: C,
-) -> A
-where
-    T: Sync,
-    A: Send,
-    ID: Fn() -> A + Sync,
-    F: Fn(A, &T) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().fold(identity(), fold);
-    }
-    let chunks = run_chunks(
-        workers.min(items.len()),
-        items.len(),
-        |range| items[range].iter().fold(identity(), &fold),
-        |_| false,
-    );
-    chunks
-        .into_iter()
-        .fold(identity(), |acc, (_, a)| combine(acc, a))
-}
-
-/// Folds a slice chunk-wise and combines the chunk accumulators in input
-/// order. The result equals `items.iter().fold(identity(), fold)` whenever
-/// `combine(fold(identity(), xs), fold(identity(), ys))
-/// == fold(identity(), xs ++ ys)` — true for every accumulator used in this
-/// workspace (vector concatenation, counting, max/min, boolean and/or).
-pub fn par_reduce<T, A, ID, F, C>(items: &[T], identity: ID, fold: F, combine: C) -> A
-where
-    T: Sync,
-    A: Send,
-    ID: Fn() -> A + Sync,
-    F: Fn(A, &T) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    par_reduce_with(threads(), items, identity, fold, combine)
+    let Some(workers) = region_workers(items.len()) else {
+        return items.iter().flat_map(f).collect();
+    };
+    let chunks = run_chunks(workers, items.len(), |range| {
+        range.flat_map(|i| f(&items[i])).collect::<Vec<U>>()
+    });
+    chunks.into_iter().flat_map(|(_, v)| v).collect()
 }
 
 /// Flattens sorted `(start, chunk)` pairs, checking full index coverage.
@@ -508,6 +343,14 @@ fn collect_ordered<U>(chunks: Vec<(usize, Vec<U>)>, len: usize) -> Vec<U> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `f` with the calling thread's worker count pinned to `workers`.
+    fn with_threads<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+        set_threads(workers);
+        let out = f();
+        set_threads(0);
+        out
+    }
 
     #[test]
     fn resolution_precedence() {
@@ -526,7 +369,8 @@ mod tests {
         let items: Vec<u64> = (0..997).collect();
         let seq: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
         for workers in [1, 2, 3, 4, 7, 64] {
-            assert_eq!(par_map_with(workers, &items, |&x| x * x + 1), seq);
+            let par = with_threads(workers, || par_map(&items, |&x| x * x + 1));
+            assert_eq!(par, seq);
         }
     }
 
@@ -534,7 +378,9 @@ mod tests {
     fn filter_map_keeps_order() {
         let seq: Vec<usize> = (0..1000).filter(|i| i % 7 == 0).collect();
         for workers in [1, 2, 5] {
-            let par = par_filter_map_index_with(workers, 1000, |i| (i % 7 == 0).then_some(i));
+            let par = with_threads(workers, || {
+                par_filter_map_index(1000, |i| (i % 7 == 0).then_some(i))
+            });
             assert_eq!(par, seq);
         }
     }
@@ -557,66 +403,27 @@ mod tests {
     fn flat_map_concatenates_in_order() {
         let items: Vec<usize> = (0..200).collect();
         let seq: Vec<usize> = items.iter().flat_map(|&i| vec![i; i % 3]).collect();
-        assert_eq!(par_flat_map_with(4, &items, |&i| vec![i; i % 3]), seq);
-    }
-
-    #[test]
-    fn find_first_returns_the_least_hit() {
-        // Hits at 300, 301, ..; the least one must win on every count.
-        for workers in [1, 2, 3, 8] {
-            let got = par_find_first_index_with(workers, 1000, |i| (i >= 300).then_some(i));
-            assert_eq!(got, Some(300));
-            let none = par_find_first_index_with(workers, 1000, |_| Option::<usize>::None);
-            assert_eq!(none, None);
-        }
-    }
-
-    #[test]
-    fn reduce_matches_sequential_fold() {
-        let items: Vec<u64> = (1..=5000).collect();
-        let seq: u64 = items.iter().sum();
-        for workers in [1, 2, 4, 9] {
-            let par = par_reduce_with(workers, &items, || 0u64, |a, &x| a + x, |a, b| a + b);
-            assert_eq!(par, seq);
-        }
-    }
-
-    #[test]
-    fn reduce_concatenation_preserves_order() {
-        let items: Vec<usize> = (0..777).collect();
-        let par = par_reduce_with(
-            4,
-            &items,
-            Vec::new,
-            |mut acc, &x| {
-                acc.push(x);
-                acc
-            },
-            |mut a, mut b| {
-                a.append(&mut b);
-                a
-            },
-        );
-        assert_eq!(par, items);
+        let par = with_threads(4, || par_flat_map(&items, |&i| vec![i; i % 3]));
+        assert_eq!(par, seq);
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
-        assert_eq!(par_map_with(4, &Vec::<u8>::new(), |&x| x), Vec::<u8>::new());
-        assert_eq!(par_map_with(4, &[9u8], |&x| x), vec![9]);
-        assert_eq!(
-            par_find_first_with(4, &Vec::<u8>::new(), |&x| Some(x)),
-            None
-        );
+        with_threads(4, || {
+            assert_eq!(par_map(&Vec::<u8>::new(), |&x| x), Vec::<u8>::new());
+            assert_eq!(par_map(&[9u8], |&x| x), vec![9]);
+        });
     }
 
     #[test]
     fn worker_panic_propagates_with_payload() {
         let items: Vec<usize> = (0..256).collect();
-        let caught = std::panic::catch_unwind(|| {
-            par_map_with(4, &items, |&i| {
-                assert!(i != 97, "poisoned item {i}");
-                i
+        let caught = with_threads(4, || {
+            std::panic::catch_unwind(|| {
+                par_map(&items, |&i| {
+                    assert!(i != 97, "poisoned item {i}");
+                    i
+                })
             })
         });
         let payload = caught.expect_err("panic must propagate");

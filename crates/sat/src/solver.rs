@@ -261,11 +261,6 @@ impl Solver {
         self.num_vars
     }
 
-    /// The number of stored clauses (original non-trivial + learned).
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
     /// Cumulative search statistics.
     pub fn stats(&self) -> &Stats {
         &self.stats

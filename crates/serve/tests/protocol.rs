@@ -1,16 +1,23 @@
 //! Protocol edge cases from the `lph-serve/1` spec, driven through the
 //! public engine/server API exactly as a client on the wire would.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lph_analysis::json::Json;
 use lph_analysis::validate_serve_response;
 use lph_serve::admission::certified_cost;
 use lph_serve::{registry, serve_connection, Admission, Engine, EngineConfig, ServerConfig};
 
-/// The trace recorder is process-global; counter-asserting tests
-/// serialize on this lock so parallel test threads don't cross streams.
+/// The trace recorder is process-global: every engine adds to the same
+/// `serve/*` counters. Each test that drives an engine or a server holds
+/// this lock, so counter-asserting tests see only their own traffic.
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`TRACE_LOCK`], recovering it if an earlier test panicked while
+/// holding it.
+fn trace_lock() -> MutexGuard<'static, ()> {
+    TRACE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn default_engine() -> Engine {
     Engine::new(EngineConfig::default())
@@ -35,6 +42,7 @@ fn parse_checked(line: &str) -> Json {
 
 #[test]
 fn every_response_kind_validates_against_the_schema() {
+    let _lock = trace_lock();
     let engine = default_engine();
     let input = concat!(
         r#"{"id":"m","kind":"membership","arbiter":"two_colorable_verifier","graph":{"family":"cycle","n":4}}"#,
@@ -82,6 +90,7 @@ fn every_response_kind_validates_against_the_schema() {
 
 #[test]
 fn interleaved_batch_responses_map_back_to_request_ids() {
+    let _lock = trace_lock();
     // A pipelined burst large enough to actually fan out over the pool,
     // with per-request distinguishable answers: each id names the cycle
     // length whose node count the response must echo.
@@ -113,6 +122,7 @@ fn interleaved_batch_responses_map_back_to_request_ids() {
 
 #[test]
 fn over_budget_fires_exactly_where_the_certified_polynomial_says() {
+    let _lock = trace_lock();
     let entry = registry::find_arbiter("eulerian_decider").expect("registered");
     let steps = entry.certified_steps.clone().expect("TM-backed, certified");
     // Find the first cycle size the budget cannot cover.
@@ -153,6 +163,7 @@ fn over_budget_fires_exactly_where_the_certified_polynomial_says() {
 
 #[test]
 fn cache_hits_are_byte_identical_across_isomorphic_instances() {
+    let _lock = trace_lock();
     let engine = default_engine();
     // Two isomorphic presentations of the same labeled cycle (rotated),
     // plus the original again.
@@ -181,9 +192,7 @@ fn cache_hits_are_byte_identical_across_isomorphic_instances() {
 
 #[test]
 fn cache_counters_account_hits_and_misses() {
-    let _x = TRACE_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _lock = trace_lock();
     lph_trace::set_enabled(true);
     lph_trace::reset();
     let engine = default_engine();
@@ -199,6 +208,7 @@ fn cache_counters_account_hits_and_misses() {
 
 #[test]
 fn cache_off_recomputes_but_answers_identically() {
+    let _lock = trace_lock();
     let cached = default_engine();
     let uncached = Engine::new(EngineConfig {
         cache: false,
@@ -223,9 +233,7 @@ fn cache_off_recomputes_but_answers_identically() {
 
 #[test]
 fn uncertified_admissions_are_counted() {
-    let _x = TRACE_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _lock = trace_lock();
     lph_trace::set_enabled(true);
     lph_trace::reset();
     let engine = default_engine();
@@ -239,6 +247,7 @@ fn uncertified_admissions_are_counted() {
 
 #[test]
 fn node_cap_rejects_even_uncertified_traffic() {
+    let _lock = trace_lock();
     let engine = Engine::new(EngineConfig {
         admission: Admission {
             max_cost: u64::MAX,
