@@ -43,7 +43,11 @@ stage_compile() {
 # checker and proves mutated proofs are rejected), then a solver smoke
 # through the experiments binary. The smoke is also the proof-check
 # gate: its C61 refutation asserts `RefutationEvidence::Checked`, so an
-# `Unchecked` verdict anywhere on that path fails this stage.
+# `Unchecked` verdict anywhere on that path fails this stage. It also
+# pins the exact arbiter-run counts of 3-colouring C6/C60/C120
+# (2065/20641/41281, one replay per locality-table row), so a table
+# build that replays rows twice fails here rather than only slowing
+# cold decides.
 stage_sat() {
   cargo test -q -p lph-sat --test differential
   cargo run --release --bin experiments -- --sat-smoke

@@ -10,14 +10,17 @@
 //! message sent in round `k` arrives in round `k + 1`. The backend
 //! exploits this: for each node `v` it extracts the ball `N_R(v)` (whose
 //! interior nodes keep their degrees), replays the arbiter on that small
-//! subgraph for **every** combination of certificates of the inner ball
-//! `N_{R−1}(v)`, and records `v`'s verdict. The radius is discovered
-//! adaptively: a replay that runs more than `R` rounds bumps `R`, and each
-//! combination is run under two paddings of the boundary ring (empty vs.
-//! all-ones certificates) — a verdict that differs between the paddings
-//! falsifies the locality assumption and also bumps `R`. Arbiters that
-//! never stabilize are reported as [`GameError::BackendUnsupported`]
+//! subgraph once for **every** combination of certificates of the inner
+//! ball `N_{R−1}(v)`, and records `v`'s verdict. The radius is discovered
+//! adaptively: a replay that runs more than `R` rounds bumps `R`. Arbiters
+//! that never stabilize are reported as [`GameError::BackendUnsupported`]
 //! rather than silently mis-encoded.
+//!
+//! Boundary-ring certificates (distance exactly `R`) stay empty. This is
+//! the **locality lemma**: a centre that halts at round `t ≤ R` depends
+//! only on inputs within distance `t − 1 ≤ R − 1`, and those nodes keep
+//! their full degree, ids and port order inside the ball, while node
+//! programs share no state — so no ring certificate reaches the verdict.
 //!
 //! The per-node truth tables then compile to CNF over choice variables
 //! (each node's certificate choice is a binary-coded index into its
@@ -244,12 +247,10 @@ fn run_outcome(
 
 /// Builds the local acceptance table of node `v`, discovering the needed
 /// radius adaptively (see the module docs).
-#[allow(clippy::too_many_arguments)]
 fn build_table(
     arbiter: &dyn Arbitrating,
     g: &LabeledGraph,
     id: &IdAssignment,
-    budgets: &[usize],
     options: &[Vec<BitString>],
     v: NodeId,
     limits: &GameLimits,
@@ -266,19 +267,12 @@ fn build_table(
             });
         }
         let ball = g.neighborhood(v, radius);
-        let inner_set: Vec<bool> = {
-            let mut inner = vec![false; g.node_count()];
-            for w in g.ball(v, radius - 1) {
-                inner[w.0] = true;
-            }
-            inner
-        };
+        let inner_ids = g.ball(v, radius - 1); // sorted
         let inner: Vec<usize> = (0..ball.members.len())
-            .filter(|&i| inner_set[ball.members[i].0])
+            .filter(|&i| inner_ids.binary_search(&ball.members[i]).is_ok())
             .collect();
-        let ring: Vec<usize> = (0..ball.members.len())
-            .filter(|&i| !inner_set[ball.members[i].0])
-            .collect();
+        // No boundary ring: each replay IS the real run, lemma not needed.
+        let whole_graph = inner.len() == ball.members.len();
         let ms: Vec<usize> = inner
             .iter()
             .map(|&i| options[ball.members[i].0].len())
@@ -294,49 +288,22 @@ fn build_table(
                     v.0
                 ),
             })?;
-        let sub_id = IdAssignment::from_vec(
-            &ball.graph,
-            ball.members.iter().map(|&w| id.id(w).clone()).collect(),
-        )
-        .expect("one identifier per ball member");
-
+        let ids = ball.members.iter().map(|&w| id.id(w).clone()).collect();
+        let sub_id = IdAssignment::from_vec(&ball.graph, ids).expect("one id per ball member");
         let mut verdicts = Vec::with_capacity(combos);
         for rank in 0..combos {
             let digits = combo_digits(rank, &ms);
+            // Ring certificates stay empty (the locality lemma).
             let mut certs = vec![BitString::new(); ball.members.len()];
             for (d, &i) in digits.iter().zip(&inner) {
                 certs[i] = options[ball.members[i].0][*d].clone();
             }
-            // Padding A: boundary-ring certificates empty.
-            let out_a = run_outcome(arbiter, &ball.graph, &sub_id, certs.clone(), limits, runs)?;
-            let verdict = out_a.verdicts[ball.center_local.0];
-            if ring.is_empty() {
-                // The ball is the whole (connected) graph: the replay IS
-                // the real run, no locality argument needed.
-                verdicts.push(verdict);
-                continue;
-            }
-            if out_a.rounds > radius {
-                radius = out_a.rounds;
+            let out = run_outcome(arbiter, &ball.graph, &sub_id, certs, limits, runs)?;
+            if !whole_graph && out.rounds > radius {
+                radius = out.rounds;
                 continue 'radius;
             }
-            // Padding B: boundary-ring certificates all-ones at budget.
-            let mut certs_b = certs;
-            for &i in &ring {
-                let b = budgets[ball.members[i].0];
-                certs_b[i] = BitString::from_bits01(&"1".repeat(b));
-            }
-            let out_b = run_outcome(arbiter, &ball.graph, &sub_id, certs_b, limits, runs)?;
-            if out_b.rounds > radius {
-                radius = out_b.rounds;
-                continue 'radius;
-            }
-            if out_b.verdicts[ball.center_local.0] != verdict {
-                // The verdict leaked past the assumed radius: grow it.
-                radius += 1;
-                continue 'radius;
-            }
-            verdicts.push(verdict);
+            verdicts.push(out.verdicts[ball.center_local.0]);
         }
         return Ok(NodeTable {
             support: inner.iter().map(|&i| ball.members[i]).collect(),
@@ -450,35 +417,29 @@ fn decide_game_cdcl(
         let _compile = lph_trace::span("game/cdcl_compile");
         let tables: Result<Vec<NodeTable>, GameError> = g
             .nodes()
-            .map(|v| build_table(arbiter, g, id, &budgets, &options, v, limits, &mut runs))
+            .map(|v| build_table(arbiter, g, id, &options, v, limits, &mut runs))
             .collect();
         lph_trace::add("game/table_runs", runs);
         tables?
     };
 
+    // Σ₁ blocks every rejecting row; Π₁ blocks every accepting row behind
+    // its node's selector, and at least one selector must hold.
+    let eve_moves_first = spec.first == Player::Eve;
     let mut enc = encode_choices(&options);
-    match spec.first {
-        Player::Eve => {
-            for table in &tables {
-                for (rank, &ok) in table.verdicts.iter().enumerate() {
-                    if !ok {
-                        enc.cnf
-                            .add_clause(row_blocking_lits(table, rank, &options, &enc));
-                    }
-                }
-            }
-        }
-        Player::Adam => {
-            let selectors: Vec<usize> = tables.iter().map(|_| enc.cnf.new_var()).collect();
-            enc.cnf.add_clause(selectors.iter().map(|&s| Lit::pos(s)));
-            for (table, &s) in tables.iter().zip(&selectors) {
-                for (rank, &ok) in table.verdicts.iter().enumerate() {
-                    if ok {
-                        let mut clause = vec![Lit::neg(s)];
-                        clause.extend(row_blocking_lits(table, rank, &options, &enc));
-                        enc.cnf.add_clause(clause);
-                    }
-                }
+    let selectors: Vec<Option<Lit>> = tables
+        .iter()
+        .map(|_| (!eve_moves_first).then(|| Lit::pos(enc.cnf.new_var())))
+        .collect();
+    if !eve_moves_first {
+        enc.cnf.add_clause(selectors.iter().flatten().copied());
+    }
+    for (table, selector) in tables.iter().zip(&selectors) {
+        for (rank, &ok) in table.verdicts.iter().enumerate() {
+            if ok != eve_moves_first {
+                let mut clause: Vec<Lit> = selector.iter().map(|s| s.negated()).collect();
+                clause.extend(row_blocking_lits(table, rank, &options, &enc));
+                enc.cnf.add_clause(clause);
             }
         }
     }
@@ -493,7 +454,6 @@ fn decide_game_cdcl(
             ..SolverConfig::default()
         },
     );
-    let eve_moves_first = spec.first == Player::Eve;
     match solver.solve() {
         SolveOutcome::Unknown => Err(GameError::BudgetExceeded {
             limit: limits.max_runs,
@@ -619,18 +579,144 @@ mod tests {
 
     #[test]
     fn cdcl_scales_past_the_exhaustive_move_guard() {
-        // Cycle of 60 nodes: the Σ₁ move space is 7⁶⁰ assignments, far past
-        // the exhaustive enumerator's 2²⁰ guard — but 3-coloring tables are
-        // 343 rows per node and CDCL settles the game.
-        let g = generators::cycle(60);
+        // Cycles of 60 and 120 nodes: the Σ₁ move space is 7ⁿ, far past the
+        // exhaustive enumerator's 2²⁰ guard — but 3-coloring tables are 343
+        // rows per node and CDCL settles the game in n · (1 + 7³) + 1 runs:
+        // per node one radius-1 probe that bumps the radius and one replay
+        // per table row, plus the witness replay on the full graph.
         let arb = arbiters::three_colorable_verifier();
-        let id = IdAssignment::global(&g);
         let limits = GameLimits::default();
-        let err = decide_game_backend(&arb, &g, &id, &limits, GameBackend::Exhaustive).unwrap_err();
-        assert!(matches!(err, GameError::MoveSpaceTooLarge { .. }));
-        let res = decide_game_backend(&arb, &g, &id, &limits, GameBackend::Cdcl).unwrap();
-        assert!(res.eve_wins, "even cycles are 3-colorable");
-        assert!(res.winning_first_move.is_some());
+        for (n, runs) in [(6, 2065), (60, 20641), (120, 41281)] {
+            let g = generators::cycle(n);
+            let id = IdAssignment::global(&g);
+            if n > 6 {
+                let err = decide_game_backend(&arb, &g, &id, &limits, GameBackend::Exhaustive);
+                assert!(matches!(err, Err(GameError::MoveSpaceTooLarge { .. })));
+            }
+            let res = decide_game_backend(&arb, &g, &id, &limits, GameBackend::Cdcl).unwrap();
+            assert!(res.eve_wins, "even cycles are 3-colorable");
+            assert!(res.winning_first_move.is_some());
+            assert_eq!(res.runs, runs, "C{n}");
+        }
+    }
+
+    /// The former two-padding replay, kept as a test-only oracle: each row
+    /// runs with the boundary-ring certificates empty (padding A) and
+    /// all-ones at budget (padding B). Returns the padding-A table and the
+    /// number of rows where the centre halted within the radius under A
+    /// but B changed its verdict — the locality lemma says none.
+    fn two_padding_table(
+        arb: &dyn Arbitrating,
+        g: &LabeledGraph,
+        id: &IdAssignment,
+        options: &[Vec<BitString>],
+        v: NodeId,
+    ) -> (NodeTable, usize) {
+        let (limits, mut runs, mut disagreements) = (GameLimits::default(), 0, 0);
+        let mut radius = 1;
+        'radius: loop {
+            let ball = g.neighborhood(v, radius);
+            let inner_ids = g.ball(v, radius - 1);
+            let (inner, ring): (Vec<usize>, Vec<usize>) =
+                (0..ball.members.len()).partition(|&i| inner_ids.contains(&ball.members[i]));
+            let opts = |i: usize| &options[ball.members[i].0];
+            let ms: Vec<usize> = inner.iter().map(|&i| opts(i).len()).collect();
+            let ids = ball.members.iter().map(|&w| id.id(w).clone()).collect();
+            let sub_id = IdAssignment::from_vec(&ball.graph, ids).unwrap();
+            let mut verdicts = Vec::new();
+            for rank in 0..ms.iter().product() {
+                let mut certs = vec![BitString::new(); ball.members.len()];
+                for (d, &i) in combo_digits(rank, &ms).iter().zip(&inner) {
+                    certs[i] = opts(i)[*d].clone();
+                }
+                let mut certs_b = certs.clone();
+                for &i in &ring {
+                    certs_b[i] = opts(i).last().unwrap().clone(); // all-ones at budget
+                }
+                let mut run = |c| run_outcome(arb, &ball.graph, &sub_id, c, &limits, &mut runs);
+                let (a, b) = (run(certs).unwrap(), run(certs_b).unwrap());
+                let verdict = a.verdicts[ball.center_local.0];
+                if !ring.is_empty() && a.rounds > radius {
+                    radius = a.rounds;
+                    continue 'radius;
+                }
+                disagreements += usize::from(b.verdicts[ball.center_local.0] != verdict);
+                verdicts.push(verdict);
+            }
+            let support = inner.iter().map(|&i| ball.members[i]).collect();
+            return (NodeTable { support, verdicts }, disagreements);
+        }
+    }
+
+    #[test]
+    fn ring_certificates_never_reach_the_centre() {
+        use crate::arbiter::Arbiter;
+        use lph_props::{BoolExpr, BooleanGraph};
+        type Labeling = fn(&LabeledGraph, &mut generators::XorShift) -> LabeledGraph;
+        let unit: Labeling = |g, _| g.clone();
+        let selection: Labeling = |g, rng| {
+            let mut bit = |u: NodeId| if u.0 == 0 || rng.bool() { "1" } else { "0" };
+            let labels = g.nodes().map(|u| BitString::from_bits01(bit(u))).collect();
+            g.with_labels(labels).unwrap()
+        };
+        // SAT-GRAPH formulas over ≤ 2 variables, clear of the 4-bit cap.
+        let formulas: Labeling = |g, rng| {
+            const F: [&str; 6] = ["vp", "!vp", "vq", "&(vp,vq)", "|(vp,!vq)", "T"];
+            let exprs = g.nodes().map(|_| BoolExpr::parse(F[rng.below(6)]).unwrap());
+            let bg = BooleanGraph::new(g.clone(), exprs.collect()).unwrap();
+            bg.graph().clone()
+        };
+        // Every ℓ = 1 arbiter with per-node outcomes, at a certificate cap
+        // that keeps its tables and the exhaustive oracle small.
+        let cases: [(Arbiter, usize, Labeling); 6] = [
+            (arbiters::three_colorable_verifier(), 2, unit),
+            (arbiters::two_colorable_verifier(), 1, unit),
+            (arbiters::sat_graph_verifier(), 2, formulas),
+            (arbiters::all_selected_pi1(), 1, selection),
+            (arbiters::distance_to_unselected_verifier(2), 2, selection),
+            (arbiters::pointer_to_unselected_verifier(), 2, selection),
+        ];
+        // Cycles, paths, stars and seeded chorded cycles.
+        let mut rng = generators::XorShift::new(25);
+        let mut probes: Vec<LabeledGraph> = (3..=8).map(generators::cycle).collect();
+        probes.extend((2..=6).map(generators::path));
+        probes.extend((3..=4).map(generators::star));
+        for n in [7, 8, 8] {
+            let mut edges: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
+            edges.extend([(0, n - 1), (0, 2 + rng.below(n - 3))]);
+            probes.push(LabeledGraph::from_edges(vec![BitString::new(); n], &edges).unwrap());
+        }
+        let mut differentials = 0;
+        for (arb, cap, labeling) in &cases {
+            let limits = GameLimits {
+                cert_len_cap: Some(*cap),
+                ..GameLimits::default()
+            };
+            for g in probes.iter().map(|g| labeling(g, &mut rng)) {
+                let id = IdAssignment::global(&g);
+                let options: Vec<Vec<BitString>> = arb
+                    .spec()
+                    .budgets(&g, &id, Some(*cap))
+                    .iter()
+                    .map(|&b| enumerate::bitstrings_up_to(b))
+                    .collect();
+                for v in g.nodes() {
+                    let table = build_table(arb, &g, &id, &options, v, &limits, &mut 0).unwrap();
+                    let (oracle, disagreements) = two_padding_table(arb, &g, &id, &options, v);
+                    let at = format!("{} at node {v} of {g}", arb.name());
+                    assert_eq!(disagreements, 0, "padding B changed a verdict: {at}");
+                    let same = (table.support, table.verdicts) == (oracle.support, oracle.verdicts);
+                    assert!(same, "tables differ: {at}");
+                }
+                if options.iter().map(Vec::len).product::<usize>() <= 1 << 14 {
+                    let decide =
+                        |b| decide_game_backend(arb, &g, &id, &limits, b).map(|r| r.eve_wins);
+                    assert_eq!(decide(GameBackend::Exhaustive), decide(GameBackend::Cdcl));
+                    differentials += 1;
+                }
+            }
+        }
+        assert!(differentials >= 60, "{differentials} differentials");
     }
 
     #[test]

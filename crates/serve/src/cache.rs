@@ -16,11 +16,16 @@
 //!    [`lph_graphs::are_isomorphic`] search, so invariant collisions
 //!    (same bucket, non-isomorphic graphs) can never alias a verdict.
 //!
-//! The cached value is the serialized response *payload* (everything
-//! after the `"id"` field), which is how cache hits are byte-identical
-//! to cold verdicts: the engine splices the requester's id onto the
-//! stored bytes. Hits and misses are counted under `serve/cache_hits`
+//! The cached value is the response [`Payload`] — the typed field list
+//! after `"id"` and `"ok"` — which is how cache hits are byte-identical
+//! to cold verdicts: the engine emits the stored fields under the
+//! requester's id. Hits and misses are counted under `serve/cache_hits`
 //! and `serve/cache_misses` when the trace recorder is on.
+//!
+//! Each representative is stored **packed**, without a `LabeledGraph`'s
+//! per-node vectors: edges as `(u32, u32)` pairs, all label bits
+//! concatenated 64 to a word, and a `u32` end offset per node. It is
+//! rebuilt into a `LabeledGraph` only to confirm a bucket candidate.
 //!
 //! The cache can be **bounded** ([`IsoCache::with_cap`], exposed as
 //! `lph-serve --cache-cap N`): when inserting a new iso-class
@@ -33,18 +38,66 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use lph_graphs::{are_isomorphic, LabeledGraph};
+use lph_graphs::{are_isomorphic, BitString, LabeledGraph};
 
 use crate::proto::Payload;
 
 /// One cached iso-class representative.
 struct Slot {
-    rep: LabeledGraph,
+    rep: PackedGraph,
     payload: Payload,
     /// Logical timestamp of the last lookup hit or the insertion.
     last_used: u64,
+}
+
+/// A `LabeledGraph` packed for storage (see the module docs).
+struct PackedGraph {
+    /// The edges `(u, v)`, `u < v`, in [`LabeledGraph::edges`] order.
+    edges: Box<[(u32, u32)]>,
+    /// Every node's label bits, concatenated in node order, 64 per word
+    /// (bit `i` is bit `i % 64` of word `i / 64`).
+    label_bits: Box<[u64]>,
+    /// `ends[u]` is the offset one past node `u`'s last label bit.
+    ends: Box<[u32]>,
+}
+
+impl PackedGraph {
+    fn pack(g: &LabeledGraph) -> Self {
+        let idx = |x: usize| u32::try_from(x).expect("graph fits u32 indices");
+        let bits: Vec<bool> = g.labels().iter().flat_map(BitString::iter).collect();
+        let mut label_bits = vec![0u64; bits.len().div_ceil(64)];
+        for i in (0..bits.len()).filter(|&i| bits[i]) {
+            label_bits[i / 64] |= 1 << (i % 64);
+        }
+        PackedGraph {
+            edges: g.edges().map(|(u, v)| (idx(u.0), idx(v.0))).collect(),
+            label_bits: label_bits.into(),
+            ends: g
+                .labels()
+                .iter()
+                .scan(0, |end, l| {
+                    *end += l.len();
+                    Some(idx(*end))
+                })
+                .collect(),
+        }
+    }
+
+    fn unpack(&self) -> LabeledGraph {
+        let bit = |i: usize| self.label_bits[i / 64] >> (i % 64) & 1 == 1;
+        let starts = std::iter::once(0).chain(self.ends.iter().map(|&e| e as usize));
+        let labels = starts
+            .zip(&self.ends)
+            .map(|(s, &e)| (s..e as usize).map(bit).collect());
+        let edges: Vec<(usize, usize)> = self
+            .edges
+            .iter()
+            .map(|&(u, v)| (u as usize, v as usize))
+            .collect();
+        LabeledGraph::from_edges(labels.collect(), &edges).expect("packed from a valid graph")
+    }
 }
 
 #[derive(Default)]
@@ -94,16 +147,24 @@ impl IsoCache {
         }
     }
 
+    /// The cache state. Each critical section runs the code that may panic
+    /// (isomorphism confirms, packing) before it mutates the buckets, so a
+    /// panic under the lock leaves the state consistent: a poisoned lock
+    /// is recovered rather than failing every later request.
+    fn inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Replays the payload cached for `g`'s iso-class, if any, marking
     /// the class as recently used.
     pub fn lookup(&self, key: &str, g: &LabeledGraph) -> Option<Payload> {
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = self.inner();
         inner.tick += 1;
         let tick = inner.tick;
         let hit = inner
             .buckets
             .get_mut(key)
-            .and_then(|b| b.iter_mut().find(|s| are_isomorphic(&s.rep, g)))
+            .and_then(|b| b.iter_mut().find(|s| are_isomorphic(&s.rep.unpack(), g)))
             .map(|s| {
                 s.last_used = tick;
                 s.payload.clone()
@@ -125,14 +186,15 @@ impl IsoCache {
         if self.cap == Some(0) {
             return;
         }
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = self.inner();
         let already = inner
             .buckets
             .get(&key)
-            .is_some_and(|b| b.iter().any(|s| are_isomorphic(&s.rep, &g)));
+            .is_some_and(|b| b.iter().any(|s| are_isomorphic(&s.rep.unpack(), &g)));
         if already {
             return;
         }
+        let rep = PackedGraph::pack(&g);
         if let Some(cap) = self.cap {
             while inner.len >= cap {
                 evict_lru(&mut inner);
@@ -141,17 +203,17 @@ impl IsoCache {
         }
         inner.tick += 1;
         let last_used = inner.tick;
-        inner.len += 1;
         inner.buckets.entry(key).or_default().push(Slot {
-            rep: g,
+            rep,
             payload,
             last_used,
         });
+        inner.len += 1;
     }
 
     /// Number of cached iso-class representatives.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache lock").len
+        self.inner().len
     }
 
     /// Whether the cache holds nothing.
@@ -164,23 +226,17 @@ impl IsoCache {
 /// linear scan over every bucket — caps are small by construction, and
 /// insertion is already behind an exact isomorphism search.
 fn evict_lru(inner: &mut Inner) {
-    let victim = inner
+    let Some((key, i)) = inner
         .buckets
         .iter()
-        .flat_map(|(k, b)| b.iter().map(move |s| (s.last_used, k.clone())))
+        .flat_map(|(k, b)| b.iter().enumerate().map(move |(i, s)| (s.last_used, k, i)))
         .min()
-        .map(|(_, k)| k);
-    let Some(key) = victim else {
+        .map(|(_, k, i)| (k.clone(), i))
+    else {
         return;
     };
     let bucket = inner.buckets.get_mut(&key).expect("victim bucket exists");
-    let oldest = bucket
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, s)| s.last_used)
-        .map(|(i, _)| i)
-        .expect("victim bucket nonempty");
-    bucket.remove(oldest);
+    bucket.remove(i);
     inner.len -= 1;
     if bucket.is_empty() {
         inner.buckets.remove(&key);
@@ -282,6 +338,45 @@ mod tests {
         // Other cap tests may race on the global counter; this cache
         // alone contributes exactly 2.
         assert!(counter("serve/cache_evictions") - before >= 2);
+    }
+
+    #[test]
+    fn packing_round_trips_and_keeps_label_boundaries() {
+        let long = "10".repeat(40); // label bits past one 64-bit word
+        let labels: [&[&str]; 3] = [&["", "0", "01", "110"], &["110", "", &long, "1"], &[""]];
+        for g in labels
+            .map(generators::labeled_path)
+            .into_iter()
+            .chain([generators::grid(3, 4)])
+        {
+            assert_eq!(PackedGraph::pack(&g).unpack(), g);
+        }
+        // Both concatenate to "0110", split at different node boundaries.
+        let a = generators::labeled_path(&["0", "110"]);
+        let b = generators::labeled_path(&["01", "10"]);
+        let (pa, pb) = (PackedGraph::pack(&a), PackedGraph::pack(&b));
+        assert_eq!(pa.label_bits, pb.label_bits, "same concatenated bits");
+        assert_ne!(pa.unpack(), pb.unpack());
+        assert_eq!((pa.unpack(), pb.unpack()), (a, b));
+    }
+
+    #[test]
+    fn a_poisoned_lock_is_recovered() {
+        let cache = IsoCache::new();
+        let (g3, g4) = (generators::cycle(3), generators::cycle(4));
+        cache.insert(bucket_key("m", &g3), g3.clone(), payload("c3"));
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = cache.inner.lock();
+                panic!("panic while holding the cache lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(cache.inner.is_poisoned());
+        assert!(cache.lookup(&bucket_key("m", &g3), &g3) == Some(payload("c3")));
+        cache.insert(bucket_key("m", &g4), g4.clone(), payload("c4"));
+        assert!(cache.lookup(&bucket_key("m", &g4), &g4) == Some(payload("c4")));
+        assert_eq!(cache.len(), 2);
     }
 
     fn counter(name: &str) -> u64 {

@@ -231,9 +231,10 @@ fn compiled_tier_series() {
 fn sat_engine_series() {
     let lim = GameLimits::default();
     // Σ₁ 3-coloring: exhaustive play dies at 7ⁿ first moves, the CDCL
-    // backend compiles 343-row local tables instead.
+    // backend compiles 343-row local tables instead, replaying each row
+    // once: exactly n · (1 + 7³) + 1 arbiter runs, asserted below.
     let arb = arbiters::three_colorable_verifier();
-    for n in [6usize, 60, 120] {
+    for (n, expected_runs) in [(6usize, 2065u64), (60, 20641), (120, 41281)] {
         let g = generators::cycle(n);
         let id = IdAssignment::global(&g);
         let exh = match decide_game_backend(&arb, &g, &id, &lim, GameBackend::Exhaustive) {
@@ -242,6 +243,10 @@ fn sat_engine_series() {
         };
         let r = decide_game_backend(&arb, &g, &id, &lim, GameBackend::Cdcl)
             .expect("CDCL within budget");
+        assert_eq!(
+            r.runs, expected_runs,
+            "C{n}: locality-table rows replayed twice?"
+        );
         println!(
             "3-COLORABLE on C{n}: exhaustive {exh}; CDCL eve_wins={} in {} arbiter runs",
             r.eve_wins, r.runs
